@@ -11,8 +11,9 @@ mix -- used to re-loop the same ``Instr`` stream in Python for every
 analytic.  The columnar engine lowers the stream once
 (``Program.columns()``, cached) and replays array columns instead.
 
-This bench times one *full replay* (timing + report + mix) per engine
-on the heaviest kernels at the ``small`` scale.  Lowering runs outside
+This bench times one *full replay* (timing + report + mix) on the
+columnar kernels and on the per-instruction reference loops, on the
+heaviest kernels at the ``small`` scale.  Lowering runs outside
 the measured window, exactly as in production: the columns are built
 once per program and shared by every subsequent replay, so steady-state
 replay cost is what the grid actually pays.  The one-time lowering cost
@@ -34,7 +35,6 @@ from repro.hardware import (
     DEFAULT_ENERGY_MODEL,
     assemble_report,
     assemble_report_legacy,
-    engine_scope,
     instruction_mix_columns,
     instruction_mix_legacy,
     simulate_timing,
@@ -82,8 +82,7 @@ def _measure(app_name):
 
     def columnar_replay():
         timing = simulate_timing_columns(columns)
-        with engine_scope("columnar"):
-            report = assemble_report(program, timing, DEFAULT_ENERGY_MODEL)
+        report = assemble_report(program, timing, DEFAULT_ENERGY_MODEL)
         instruction_mix_columns(columns)
         return report
 

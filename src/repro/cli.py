@@ -34,11 +34,6 @@ Examples::
     # ETag revalidation, in-flight dedup; see repro.server):
     python -m repro serve --port 8765 --jobs 4 --scale tiny
 
-    # Replay engine: columnar (vectorized, default) vs the legacy
-    # per-instruction oracle loops -- results are bit-identical.
-    python -m repro table1 --engine legacy
-    REPRO_ENGINE=legacy python -m repro all
-
     # Telemetry: trace a campaign end to end (spans land as NDJSON
     # under results/telemetry/), then replay the time breakdown:
     python -m repro run --scale tiny --jobs 2 --telemetry
@@ -70,9 +65,6 @@ from repro.analysis import (
 from repro.apps import make_app
 from repro.core import STANDARD_FORMATS, available_backends
 from repro.hardware import fpu as fpu_model
-from repro.hardware import set_engine
-from repro.hardware.engine import ENGINES
-from repro.hardware.engine import ENV_VAR as ENGINE_ENV_VAR
 from repro import telemetry as _telemetry
 from repro.session import Session
 from repro.tuning import (
@@ -487,7 +479,10 @@ def _trace_cli(argv: list[str]) -> int:
     parser.add_argument(
         "--dir",
         default=None,
-        help="trace directory (default: ./results/telemetry)",
+        help=(
+            f"trace directory (default: ${_telemetry.DIR_ENV_VAR} if "
+            "set, else ./results/telemetry)"
+        ),
     )
     args = parser.parse_args(argv)
     try:
@@ -823,17 +818,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--engine",
-        default=None,
-        choices=ENGINES,
-        help=(
-            "replay engine: columnar (vectorized, the default) or "
-            "legacy (per-instruction oracle loops); results are "
-            f"bit-identical -- overrides the {ENGINE_ENV_VAR} "
-            "environment variable"
-        ),
-    )
-    parser.add_argument(
         "--telemetry",
         action="store_true",
         help=(
@@ -844,8 +828,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
-    if args.engine is not None:
-        set_engine(args.engine)
     if args.telemetry:
         _telemetry.enable()
     else:

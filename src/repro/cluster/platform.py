@@ -31,7 +31,6 @@ from repro.hardware import (
     EnergyModel,
     Program,
     RunReport,
-    active_engine,
     assemble_report,
     simulate_program_timing,
 )
@@ -208,11 +207,7 @@ class ClusterPlatform:
             [program.instrs for program in programs],
             self.config,
             self._fp_latency_override,
-            columns=(
-                [program.columns() for program in programs]
-                if active_engine() == "columnar"
-                else None
-            ),
+            columns=[program.columns() for program in programs],
         )
         reports = [
             assemble_report(program, result.timing, self._energy)

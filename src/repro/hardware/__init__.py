@@ -12,8 +12,6 @@ from .columnar import (
 )
 from .cpu import Timing, classify, result_latency, simulate_timing
 from .energy import DEFAULT_ENERGY_MODEL, EnergyBreakdown, EnergyModel
-from .engine import active_engine, set_engine
-from .engine import engine as engine_scope
 from .isa import BRANCH_TAKEN_PENALTY, LOAD_USE_LATENCY, Instr, Kind
 from .memory import MemoryStats, count_memory
 from .platform import (
@@ -50,9 +48,6 @@ __all__ = [
     "energy_split_columns",
     "instruction_mix_columns",
     "instruction_mix_legacy",
-    "active_engine",
-    "set_engine",
-    "engine_scope",
     "EnergyModel",
     "EnergyBreakdown",
     "DEFAULT_ENERGY_MODEL",

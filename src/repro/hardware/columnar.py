@@ -38,9 +38,8 @@ from collections import Counter
 
 import numpy as np
 
-from .cpu import Timing, simulate_timing
+from .cpu import Timing
 from .energy import EnergyBreakdown, EnergyModel
-from .engine import active_engine
 from .fpu.energy import cast_energy_pj, op_energy_pj
 from .fpu.ops import (
     SEQUENTIAL_OPS,
@@ -483,10 +482,8 @@ def finalize_class_cycles(
 def simulate_program_timing(
     program, fp_latency_override: dict[str, int] | None = None
 ) -> Timing:
-    """Replay a built program on the active engine."""
-    if active_engine() == "columnar":
-        return simulate_timing_columns(program.columns(), fp_latency_override)
-    return simulate_timing(program.instrs, fp_latency_override)
+    """Replay a built program on its lowered columns."""
+    return simulate_timing_columns(program.columns(), fp_latency_override)
 
 
 # ----------------------------------------------------------------------

@@ -100,21 +100,17 @@ class InstructionMix:
 def instruction_mix(program: Program) -> InstructionMix:
     """Tally the instruction mix of a built program.
 
-    Dispatches on the active replay engine: the columnar bincount
-    kernel by default (the mix feeds the Fig. 6 driver's per-class
-    attribution, so it sits on the replay hot path), the per-``Instr``
-    loop under ``REPRO_ENGINE=legacy`` -- equal Counters either way.
+    Runs the columnar bincount kernel: the mix feeds the Fig. 6
+    driver's per-class attribution, so it sits on the replay hot path.
     """
     from .columnar import instruction_mix_columns
-    from .engine import active_engine
 
-    if active_engine() == "columnar":
-        return instruction_mix_columns(program.columns())
-    return instruction_mix_legacy(program)
+    return instruction_mix_columns(program.columns())
 
 
 def instruction_mix_legacy(program: Program) -> InstructionMix:
-    """The per-``Instr`` tally, kept as the parity oracle."""
+    """The per-``Instr`` tally: the reference the columnar
+    :func:`instruction_mix` is tested against."""
     mix = InstructionMix(total=len(program.instrs))
     for instr in program.instrs:
         mix.by_kind[instr.kind.name] += 1

@@ -63,7 +63,12 @@ FLUSH_THRESHOLD = 1024
 
 
 def default_export_dir() -> Path:
-    """Where traces land when nobody says otherwise."""
+    """Where traces land, and where ``repro trace`` looks for them, when
+    no directory is passed: ``$REPRO_TELEMETRY_DIR`` if set, else
+    ``./results/telemetry``."""
+    configured = os.environ.get(DIR_ENV_VAR)
+    if configured:
+        return Path(configured)
     return Path.cwd() / "results" / "telemetry"
 
 
@@ -194,7 +199,7 @@ def enable(
         if _config is not None:
             return _config.trace_id
         if export_dir is None:
-            export_dir = os.environ.get(DIR_ENV_VAR) or default_export_dir()
+            export_dir = default_export_dir()
         _config = _Config(
             trace_id if trace_id is not None else new_id(16),
             Path(export_dir),

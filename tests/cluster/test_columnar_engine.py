@@ -4,8 +4,10 @@ The cluster engine's wave loop arbitrates shared FPUs per cycle; the
 columnar :class:`_ColumnarCore` replays pre-lowered columns through the
 *same* loop.  Every arbitration decision, contention stall and core
 timing -- and therefore every :class:`ClusterReport` payload -- must be
-byte-identical between the two core implementations, across topologies,
-applications and latency overrides.
+byte-identical between ``ClusterPlatform`` and a report assembled from
+the per-instruction reference loops (``simulate_cluster_timing``
+without ``columns``, ``simulate_timing``, ``assemble_report_legacy``),
+across topologies, applications and latency overrides.
 """
 
 import random
@@ -13,26 +15,54 @@ import random
 import pytest
 
 from repro.apps import APP_NAMES, make_app
-from repro.cluster import ClusterConfig, ClusterPlatform
+from repro.cluster import ClusterConfig, ClusterPlatform, ClusterReport
 from repro.cluster.engine import simulate_cluster_timing
-from repro.hardware import engine_scope, lower_instrs
+from repro.cluster.platform import FPU_STATIC_PJ_PER_CYCLE
+from repro.hardware import (
+    DEFAULT_ENERGY_MODEL,
+    assemble_report_legacy,
+    lower_instrs,
+    simulate_timing,
+)
 
 from tests.hardware.test_columnar_random import random_stream
 
 TOPOLOGIES = ((1, 1), (2, 1), (2, 2), (4, 2), (4, 4), (8, 4))
 
 
+def reference_run_app(app, binding, config, override=None):
+    """``ClusterPlatform.run_app`` rebuilt from the reference loops."""
+    programs = app.partition(config.n_cores, binding)
+    results = simulate_cluster_timing(
+        [program.instrs for program in programs], config, override
+    )
+    cores = [
+        assemble_report_legacy(program, result.timing, DEFAULT_ENERGY_MODEL)
+        for program, result in zip(programs, results)
+    ]
+    makespan = max(report.cycles for report in cores)
+    if config.n_cores == 1:
+        serial_cycles = makespan
+    else:
+        serial = app.build_program(binding)
+        serial_cycles = simulate_timing(serial.instrs, override).cycles
+    return ClusterReport(
+        program=app.name,
+        config=config,
+        cores=cores,
+        contention_stalls=[result.contention_stalls for result in results],
+        serial_cycles=serial_cycles,
+        fpu_static_pj=config.n_fpus * makespan * FPU_STATIC_PJ_PER_CYCLE,
+    )
+
+
 def run_both(app_name, n_cores, fpu_ratio, override=None):
     app = make_app(app_name, "tiny")
     binding = app.baseline_binding()
-    platform = ClusterPlatform(
-        ClusterConfig(n_cores=n_cores, fpu_ratio=fpu_ratio),
-        fp_latency_override=override,
-    )
-    with engine_scope("columnar"):
-        columnar = platform.run_app(app, binding)
-    with engine_scope("legacy"):
-        legacy = platform.run_app(app, binding)
+    config = ClusterConfig(n_cores=n_cores, fpu_ratio=fpu_ratio)
+    platform = ClusterPlatform(config, fp_latency_override=override)
+    columnar = platform.run_app(app, binding)
+    legacy = reference_run_app(app, binding, config, override)
     return columnar, legacy
 
 
@@ -62,9 +92,8 @@ class TestClusterReportParity:
         app = make_app("conv", "tiny")
         program = app.build_program(app.baseline_binding())
         cluster = ClusterPlatform(ClusterConfig(n_cores=1))
-        with engine_scope("columnar"):
-            report = cluster.run([program]).cores[0]
-            single = VirtualPlatform().run(program)
+        report = cluster.run([program]).cores[0]
+        single = VirtualPlatform().run(program)
         assert report.to_payload() == single.to_payload()
 
 

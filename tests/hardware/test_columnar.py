@@ -3,11 +3,13 @@
 The columnar engine (``repro.hardware.columnar``) re-implements every
 per-instruction analytic -- timing, energy split, memory statistics,
 instruction mix, report counters -- as array kernels over a lowered
-:class:`ProgramColumns`.  The legacy per-``Instr`` loops stay in the
-tree as the oracle; these tests pin the two engines to *byte-identical*
-results (object equality, payload equality, and even dict key order,
-so a JSON rendering cannot drift) across every application kernel,
-format binding and latency override the experiment drivers use.
+:class:`ProgramColumns`.  The per-``Instr`` loops (``simulate_timing``,
+``count_memory``, ``assemble_report_legacy``, ``instruction_mix_legacy``)
+stay in the tree as the reference; these tests pin the kernels to
+*byte-identical* results (object equality, payload equality, and even
+dict key order, so a JSON rendering cannot drift) across every
+application kernel, format binding and latency override the experiment
+drivers use.
 """
 
 import pytest
@@ -21,17 +23,14 @@ from repro.hardware import (
     Kind,
     Program,
     VirtualPlatform,
-    active_engine,
     assemble_report,
     assemble_report_legacy,
     count_memory,
     count_memory_columns,
-    engine_scope,
     instruction_mix,
     instruction_mix_columns,
     instruction_mix_legacy,
     lower_instrs,
-    set_engine,
     simulate_program_timing,
     simulate_timing,
     simulate_timing_columns,
@@ -41,7 +40,6 @@ from repro.hardware.columnar import (
     fp_cast_counters_columns,
     uses_default_energy_rules,
 )
-from repro.hardware.engine import ENV_VAR
 
 UNIFORM_FORMATS = (BINARY8, BINARY16, BINARY16ALT, BINARY32)
 OVERRIDES = (
@@ -49,6 +47,7 @@ OVERRIDES = (
     {"binary32": 7},
     {"binary8": 1, "binary16": 2, "binary16alt": 2, "binary32": 9},
 )
+OVERRIDE_IDS = ("default", "binary32-slow", "all-formats")
 
 
 def build_programs(app_name):
@@ -58,14 +57,6 @@ def build_programs(app_name):
     for fmt in UNIFORM_FORMATS:
         bindings.append(dict.fromkeys(app.baseline_binding(), fmt))
     return [app.build_program(binding) for binding in bindings]
-
-
-@pytest.fixture(autouse=True)
-def _default_engine():
-    """Tests in this module control the engine explicitly."""
-    set_engine(None)
-    yield
-    set_engine(None)
 
 
 class TestTimingParity:
@@ -102,10 +93,7 @@ class TestReportParity:
     def test_full_report_payloads(self, app_name):
         for program in build_programs(app_name):
             timing = simulate_timing(program.instrs)
-            with engine_scope("columnar"):
-                columnar = assemble_report(
-                    program, timing, DEFAULT_ENERGY_MODEL
-                )
+            columnar = assemble_report(program, timing, DEFAULT_ENERGY_MODEL)
             legacy = assemble_report_legacy(
                 program, timing, DEFAULT_ENERGY_MODEL
             )
@@ -130,21 +118,30 @@ class TestReportParity:
     @pytest.mark.parametrize("app_name", APP_NAMES)
     def test_instruction_mix(self, app_name):
         for program in build_programs(app_name):
-            assert instruction_mix_columns(
-                program.columns()
-            ) == instruction_mix_legacy(program)
+            legacy = instruction_mix_legacy(program)
+            assert instruction_mix_columns(program.columns()) == legacy
+            assert instruction_mix(program) == legacy
 
-    def test_platform_run_matches_legacy_engine(self):
-        app = make_app("conv", "tiny")
+    @pytest.mark.parametrize("override", OVERRIDES, ids=OVERRIDE_IDS)
+    @pytest.mark.parametrize("app_name", APP_NAMES)
+    def test_platform_run_matches_legacy_engine(self, app_name, override):
+        app = make_app(app_name, "tiny")
         program = app.build_program(app.baseline_binding())
-        platform = VirtualPlatform(
-            fp_latency_override={"binary16": 2, "binary32": 7}
+        platform = VirtualPlatform(fp_latency_override=override)
+        legacy = assemble_report_legacy(
+            program,
+            simulate_timing(program.instrs, override),
+            DEFAULT_ENERGY_MODEL,
         )
-        with engine_scope("columnar"):
-            columnar = platform.run(program)
-        with engine_scope("legacy"):
-            legacy = platform.run(program)
-        assert columnar.to_payload() == legacy.to_payload()
+        assert platform.run(program).to_payload() == legacy.to_payload()
+
+    @pytest.mark.parametrize("app_name", APP_NAMES)
+    def test_simulate_program_timing_matches_reference(self, app_name):
+        for program in build_programs(app_name):
+            for override in OVERRIDES:
+                assert simulate_program_timing(
+                    program, override
+                ) == simulate_timing(program.instrs, override)
 
 
 class TestEnergyModelSubclasses:
@@ -162,8 +159,7 @@ class TestEnergyModelSubclasses:
         app = make_app("dwt", "tiny")
         program = app.build_program(app.baseline_binding())
         timing = simulate_timing(program.instrs)
-        with engine_scope("columnar"):
-            columnar = assemble_report(program, timing, model)
+        columnar = assemble_report(program, timing, model)
         legacy = assemble_report_legacy(program, timing, model)
         assert columnar.to_payload() == legacy.to_payload()
 
@@ -176,54 +172,6 @@ class TestEnergyModelSubclasses:
             model, program.columns(), timing.stall_cycles
         )
         assert columnar == model.split(program.instrs, timing.stall_cycles)
-
-
-class TestEngineSelection:
-    def test_columnar_is_the_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert active_engine() == "columnar"
-
-    def test_env_var_switches_to_legacy(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "legacy")
-        assert active_engine() == "legacy"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "legacy")
-        set_engine("columnar")
-        assert active_engine() == "columnar"
-        set_engine(None)
-        assert active_engine() == "legacy"
-
-    def test_scope_restores_previous(self):
-        set_engine("legacy")
-        with engine_scope("columnar"):
-            assert active_engine() == "columnar"
-        assert active_engine() == "legacy"
-
-    def test_unknown_engine_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            set_engine("turbo")
-        monkeypatch.setenv(ENV_VAR, "turbo")
-        with pytest.raises(ValueError):
-            active_engine()
-
-    def test_instruction_mix_dispatches(self):
-        app = make_app("pca", "tiny")
-        program = app.build_program(app.baseline_binding())
-        with engine_scope("columnar"):
-            columnar = instruction_mix(program)
-        with engine_scope("legacy"):
-            legacy = instruction_mix(program)
-        assert columnar == legacy
-
-    def test_simulate_program_timing_dispatches(self):
-        app = make_app("svm", "tiny")
-        program = app.build_program(app.baseline_binding())
-        with engine_scope("columnar"):
-            columnar = simulate_program_timing(program)
-        with engine_scope("legacy"):
-            legacy = simulate_program_timing(program)
-        assert columnar == legacy
 
 
 class TestLoweringCache:

@@ -22,7 +22,6 @@ from repro.hardware import (
     assemble_report_legacy,
     count_memory,
     count_memory_columns,
-    engine_scope,
     instruction_mix_columns,
     instruction_mix_legacy,
     lower_instrs,
@@ -179,8 +178,7 @@ def test_random_stream_report_parity(seed):
     instrs = random_stream(rng, rng.randrange(5, 300))
     program = Program(f"random-{seed}", instrs, {})
     timing = simulate_timing(instrs)
-    with engine_scope("columnar"):
-        columnar = assemble_report(program, timing, DEFAULT_ENERGY_MODEL)
+    columnar = assemble_report(program, timing, DEFAULT_ENERGY_MODEL)
     legacy = assemble_report_legacy(program, timing, DEFAULT_ENERGY_MODEL)
     assert columnar.to_payload() == legacy.to_payload()
     assert columnar.energy == legacy.energy

@@ -41,3 +41,22 @@ class TestTraceVerb:
         empty.mkdir()
         assert main(["trace", "--dir", str(empty)]) == 1
         assert "repro trace:" in capsys.readouterr().out
+
+    def test_latest_reads_the_env_dir_the_writer_used(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro import telemetry
+
+        traces = tmp_path / "traces"
+        elsewhere = tmp_path / "cwd"
+        elsewhere.mkdir()
+        monkeypatch.setenv(telemetry.DIR_ENV_VAR, str(traces))
+        monkeypatch.chdir(elsewhere)
+        telemetry.enable()
+        with telemetry.span("runner.run"):
+            pass
+        telemetry.disable()
+        assert [p.parent for p in traces.glob("trace-*.ndjson")] == [traces]
+        assert main(["trace", "latest"]) == 0
+        assert "runner.run" in capsys.readouterr().out
+        assert not (elsewhere / "results").exists()
