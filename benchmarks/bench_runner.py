@@ -24,6 +24,7 @@ from pathlib import Path
 
 from repro.runner import ExperimentRunner
 from repro.session import Session
+from repro.tuning import evaluation_memo
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results" / "bench"
 WORK_DIR = RESULTS_DIR / "runner-work"
@@ -48,6 +49,9 @@ def make_runner(tag: str, jobs: int, wipe: bool = True) -> ExperimentRunner:
 
 def timed_run(runner: ExperimentRunner):
     specs = runner.grid(APPS, ["V2"], PRECISIONS)
+    # Cold paths must not read SQNR records an earlier path left behind
+    # (pool workers forked from this process would inherit them).
+    evaluation_memo.clear()
     start = time.perf_counter()
     results = runner.run(specs)
     return time.perf_counter() - start, results

@@ -12,6 +12,10 @@ the per-strategy evaluation/wall-time series to
 Also gates the redesign's headline number: the bisection strategy must
 reach the same targets as greedy with >= 30% fewer ``evaluate()``
 calls on this grid (in practice it saves 50-70%).
+
+The process-wide evaluation memo is cleared before each strategy, so
+every strategy's ``seconds`` measures its own program runs instead of
+lookups of bindings an earlier strategy already scored.
 """
 
 import json
@@ -21,6 +25,7 @@ from repro.apps import make_app
 from repro.tuning import (
     V2,
     TuningProblem,
+    evaluation_memo,
     precision_to_sqnr_db,
     resolve_strategy,
     strategy_names,
@@ -40,6 +45,7 @@ def test_strategy_evaluations_and_walltime():
     per_strategy: dict[str, dict] = {}
     for name in strategy_names():
         strategy = resolve_strategy(name)
+        evaluation_memo.clear()
         evaluations = 0
         seconds = 0.0
         per_app: dict[str, int] = {}

@@ -198,6 +198,17 @@ class TransprecisionApp(ABC):
         """TunableProgram protocol alias for :meth:`run_numeric`."""
         return self.run_numeric(binding, input_id)
 
+    def program_identity(self) -> tuple:
+        """Hashable key for everything :meth:`run_numeric` depends on
+        besides the binding and the input id.
+
+        Two apps with equal identities compute bit-identical outputs, so
+        the tuner's process-wide evaluation memo may share their SQNR
+        records.  Subclasses with constructor flags that change the
+        numeric form must extend the tuple.
+        """
+        return (type(self), self.scale)
+
     def reference(self, input_id: int = 0) -> np.ndarray:
         """Exact output: the numeric form with every variable binary64."""
         binding = {spec.name: BINARY64 for spec in self.variables()}

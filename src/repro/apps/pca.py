@@ -65,6 +65,9 @@ class PcaApp(TransprecisionApp):
         super().__init__(scale)
         self.manual_vectorize = manual_vectorize
 
+    def program_identity(self) -> tuple:
+        return super().program_identity() + (self.manual_vectorize,)
+
     def variables(self):
         n, d = self.scale.pca_samples, self.scale.pca_dims
         return [
@@ -116,36 +119,7 @@ class PcaApp(TransprecisionApp):
         else:
             centered = center()
 
-        # --- covariance ----------------------------------------------------
-        cov_region = wider(data_fmt, cov_fmt)
-        vector_cov = self.manual_vectorize and lanes_for(cov_region) > 1
-
-        cov_np = np.zeros((d, d))
-        cov_store = FlexFloatArray(cov_np, cov_fmt)
-        for i in range(d):
-            ci = centered[:, i]
-            if data_fmt != cov_region:
-                ci = ci.cast(cov_region)
-            for j in range(i, d):
-                cj = centered[:, j]
-                if data_fmt != cov_region:
-                    cj = cj.cast(cov_region)
-
-                def cell() -> FlexFloat:
-                    return (ci * cj).sum() * FlexFloat(inv_n, cov_region)
-
-                if vector_cov:
-                    with vectorizable():
-                        value = cell()
-                else:
-                    value = cell()
-                stored = (
-                    value
-                    if cov_fmt == cov_region
-                    else value.cast(cov_fmt)
-                )
-                cov_store[i, j] = stored
-                cov_store[j, i] = stored
+        cov_store = self._covariance(centered, cov_fmt)
 
         # --- power iteration with deflation --------------------------------
         eig_region = wider(cov_fmt, eig_fmt)
@@ -201,16 +175,7 @@ class PcaApp(TransprecisionApp):
             vr = v if eig_fmt == eig_region else v.cast(eig_region)
             lam = (vr * w).sum()
             lam_c = lam if eig_region == cov_fmt else lam.cast(cov_fmt)
-            for i in range(d):
-                row = cov_store[i, :]
-                vi = vr[i]
-                correction = vr * float(vi) * float(lam_c)
-                correction = (
-                    correction
-                    if cov_fmt == eig_region
-                    else correction.cast(cov_fmt)
-                )
-                cov_store[i, :] = row - correction
+            cov_store = self._deflate(cov_store, vr, lam_c)
 
             # Projection of every sample onto the component.
             def project() -> FlexFloatArray:
@@ -230,6 +195,56 @@ class PcaApp(TransprecisionApp):
             p_s = p if proj_fmt == proj_region else p.cast(proj_fmt)
             proj_out[:, comp] = p_s.to_numpy()
         return proj_out.reshape(-1)
+
+    def _covariance(
+        self, centered: FlexFloatArray, cov_fmt: FPFormat
+    ) -> FlexFloatArray:
+        """The d x d covariance of the centered samples, in ``cov_fmt``.
+
+        Every upper-triangle cell (i, j) at once: one gather of the
+        column pairs, one product and one per-row tree sum, so each row
+        rounds exactly like a separate cell.  Casts count as in a cell
+        loop: column i once per triangle row, column j once per cell.
+        """
+        n, d = centered.shape
+        data_fmt = centered.fmt
+        region = wider(data_fmt, cov_fmt)
+        cov_store = FlexFloatArray(np.zeros((d, d)), cov_fmt)
+        rows, cols = np.triu_indices(d)
+        columns = centered.T
+        if data_fmt == region:
+            left, right = columns[rows], columns[cols]
+        else:
+            left = columns.cast(region)[rows]
+            right = columns[cols].cast(region)
+
+        def cells() -> FlexFloatArray:
+            return (left * right).sum(axis=1) * FlexFloat(1.0 / n, region)
+
+        if self.manual_vectorize and lanes_for(region) > 1:
+            with vectorizable():
+                value = cells()
+        else:
+            value = cells()
+        stored = value if cov_fmt == region else value.cast(cov_fmt)
+        cov_store[rows, cols] = stored
+        cov_store[cols, rows] = stored
+        return cov_store
+
+    @staticmethod
+    def _deflate(
+        cov_store: FlexFloatArray, vr: FlexFloatArray, lam: FlexFloat
+    ) -> FlexFloatArray:
+        """``cov - lam * v v^T`` as one whole-matrix update.
+
+        Row i scales ``vr`` (the eigenvector in the eigen region) by the
+        concrete component ``float(vr[i])``, the value the kernel loads.
+        """
+        v_col = np.array([[float(vi)] for vi in vr])
+        correction = vr * v_col * float(lam)
+        if cov_store.fmt != vr.fmt:
+            correction = correction.cast(cov_store.fmt)
+        return cov_store - correction
 
     # ------------------------------------------------------------------
     def build_program(

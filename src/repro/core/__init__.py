@@ -47,6 +47,7 @@ from .ops import (
 from .stats import (
     Stats,
     collect,
+    collecting,
     in_vectorizable_region,
     record_cast,
     record_op,
@@ -75,6 +76,7 @@ __all__ = [
     "FormatMismatchError",
     "Stats",
     "collect",
+    "collecting",
     "vectorizable",
     "in_vectorizable_region",
     "record_op",

@@ -80,6 +80,10 @@ ARRAY_OPS = {
     "div": _ieee_divide,
 }
 
+#: The fast backend's operators: its callers already hold an errstate
+#: covering division, so plain ``np.divide`` replaces the wrapper.
+_FAST_ARRAY_OPS = {**ARRAY_OPS, "div": np.divide}
+
 #: Vectorized auxiliary (softfloat) functions.
 UNARY_ARRAY_OPS = {
     "sqrt": np.sqrt,
@@ -310,17 +314,21 @@ class FastNumpyBackend(Backend):
     # -- array: fast kernels -------------------------------------------
     def quantize_array(self, values, fmt: FPFormat) -> np.ndarray:
         a = np.asarray(values, dtype=np.float64)
-        return self._sanitize(a, self.params_for(fmt), owned=False)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self._sanitize(a, self.params_for(fmt), owned=False)
 
     def binary_array(self, op: str, a, b, fmt: FPFormat) -> np.ndarray:
-        with np.errstate(invalid="ignore", over="ignore"):
-            raw = ARRAY_OPS[op](a, b)  # fresh buffer: safe to consume
-        return self._sanitize(raw, self.params_for(fmt), owned=True)
+        # One errstate spans the operator and the sanitization: IEEE
+        # specials (inf - inf, x / 0, saturation to inf) are intended
+        # emulation results, not numerical accidents.
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            raw = _FAST_ARRAY_OPS[op](a, b)  # fresh buffer: safe to consume
+            return self._sanitize(raw, self.params_for(fmt), owned=True)
 
     def unary_array(self, op: str, values, fmt: FPFormat) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             raw = UNARY_ARRAY_OPS[op](values)
-        return self._sanitize(raw, self.params_for(fmt), owned=True)
+            return self._sanitize(raw, self.params_for(fmt), owned=True)
 
     # ------------------------------------------------------------------
     def _sanitize(
@@ -329,33 +337,42 @@ class FastNumpyBackend(Backend):
         """Quantize ``a`` in the fewest possible numpy passes.
 
         ``owned`` marks buffers this backend just produced (fused ops),
-        which may be returned or clobbered without copying.
+        which may be returned or clobbered without copying.  Callers
+        hold an ``errstate`` ignoring overflow and invalid operations:
+        saturation to infinity is wanted, and non-finite values ride
+        through every step.
         """
-        if a.ndim == 0:
-            # Ufuncs collapse 0-d arrays to scalars, which breaks the
-            # out= passes below; route through a one-element view.
-            return self._sanitize(a.reshape(1), p, owned).reshape(())
+        # Ufuncs hand 0-d inputs back as scalars, which the in-place
+        # passes below cannot write into: run on a one-element view.
+        shape = a.shape
+        if not shape:
+            a = a.reshape(1)
         if p.kind == "identity":
-            return a if owned else a.copy()
-        if p.kind == "half":
-            with np.errstate(over="ignore"):  # saturation to inf is wanted
-                return a.astype(np.float16).astype(np.float64)
-        if p.kind == "single":
-            with np.errstate(over="ignore"):
-                return a.astype(np.float32).astype(np.float64)
+            out = a if owned else a.copy()
+        elif p.kind == "half":
+            out = a.astype(np.float16).astype(np.float64)
+        elif p.kind == "single":
+            out = a.astype(np.float32).astype(np.float64)
+        else:
+            out = self._generic(a, p)
+        return out if shape else out.reshape(shape)
 
-        # Generic kernel.  frexp gives exp(x) + 1; the quantum exponent
-        # is q = max(exp(x), emin) - man_bits, clamped below emin so
-        # subnormal spacing takes over.  Non-finite values ride through
-        # every step unchanged (ldexp/rint are identities on them).
+    @staticmethod
+    def _generic(a: np.ndarray, p: _FormatParams) -> np.ndarray:
+        """The scale--``rint``--unscale kernel for non-native formats.
+
+        frexp gives exp(x) + 1; the quantum exponent is
+        q = max(exp(x), emin) - man_bits, clamped below emin so subnormal
+        spacing takes over.  ldexp/rint are identities on non-finite
+        values.
+        """
         _, q = np.frexp(a)
         q = q.astype(np.int64, copy=False)
         np.subtract(q, 1 + p.man_bits, out=q)
         np.maximum(q, p.qmin, out=q)
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = np.ldexp(a, np.negative(q))
-            np.rint(scaled, out=scaled)
-            np.ldexp(scaled, q, out=scaled)
+        scaled = np.ldexp(a, np.negative(q))
+        np.rint(scaled, out=scaled)
+        np.ldexp(scaled, q, out=scaled)
         # Round-to-nearest overflows to infinity exactly when the
         # rounded magnitude exceeds the largest finite value.
         over = np.abs(scaled) > p.max_value

@@ -34,6 +34,7 @@ __all__ = [
     "OpKey",
     "CastKey",
     "collect",
+    "collecting",
     "vectorizable",
     "in_vectorizable_region",
     "record_op",
@@ -212,6 +213,15 @@ def collect(stats: Stats | None = None) -> Iterator[Stats]:
         stats = Stats()
     with install_collector(current_context(), stats):
         yield stats
+
+
+def collecting() -> bool:
+    """True while a collector is installed on the current context.
+
+    Callers that may skip a program execution (the tuner's evaluation
+    memo) ask this first: a skipped run would record nothing.
+    """
+    return bool(current_context().collectors)
 
 
 @contextmanager

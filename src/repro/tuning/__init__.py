@@ -50,10 +50,13 @@ from .range_analysis import (
 )
 from .refine import refine
 from .search import (
+    MEMO_MAX_ENTRIES,
     BudgetExceededError,
     DistributedSearch,
+    EvaluationMemo,
     InfeasibleError,
     TuningResult,
+    evaluation_memo,
 )
 from .sqnr import (
     PRECISION_LEVELS,
@@ -102,6 +105,9 @@ __all__ = [
     "type_system",
     "type_system_names",
     "DistributedSearch",
+    "EvaluationMemo",
+    "MEMO_MAX_ENTRIES",
+    "evaluation_memo",
     "TuningResult",
     "InfeasibleError",
     "refine",

@@ -31,13 +31,16 @@ exponent simply fails the constraint and is pushed to the next interval.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core import BINARY64, FPFormat
+from repro.core import FPFormat, active_backend, collecting
 from repro.telemetry import span as _span
 
 from .mapping import MAX_PRECISION_BITS, TypeSystem
@@ -49,7 +52,14 @@ __all__ = [
     "TuningResult",
     "InfeasibleError",
     "BudgetExceededError",
+    "EvaluationMemo",
+    "MEMO_MAX_ENTRIES",
+    "evaluation_memo",
 ]
+
+#: Records the process-wide evaluation memo holds at most (SQNR values
+#: and reference outputs together); the least recently used goes first.
+MEMO_MAX_ENTRIES = 1 << 15
 
 
 class InfeasibleError(RuntimeError):
@@ -60,12 +70,64 @@ class BudgetExceededError(RuntimeError):
     """The search needed more program evaluations than its budget allows.
 
     Raised by :meth:`DistributedSearch.evaluate` the moment an *uncached*
-    evaluation would exceed the evaluation budget (cache hits stay free),
+    evaluation would exceed the evaluation budget (repeats within one
+    search stay free; answers from the process-wide memo still count),
     so a capped search fails loudly instead of silently overrunning.
     Budget-aware strategies (see :mod:`repro.tuning.anneal`) check
     :meth:`DistributedSearch.budget_remaining` and stop proposing moves
     before this fires.
     """
+
+
+class EvaluationMemo:
+    """Process-wide, bounded LRU of evaluation records.
+
+    Every search in the process shares it, so a flow re-evaluating a
+    binding another flow already scored -- same program identity,
+    backend class, input set and resolved ``(exp_bits, man_bits)`` per
+    variable -- reads the SQNR instead of running the program.  The
+    binary64 reference output of each ``(program identity, backend
+    class, input)`` lives here too, stored read-only.
+    """
+
+    def __init__(self, max_entries: int = MEMO_MAX_ENTRIES) -> None:
+        self.max_entries = max_entries
+        self._records: OrderedDict = OrderedDict()
+        # Server worker threads tune concurrently.
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable):
+        """The record under ``key`` (refreshed as recently used), or None."""
+        with self._lock:
+            value = self._records.get(key)
+            if value is not None:
+                self._records.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value) -> None:
+        with self._lock:
+            self._records[key] = value
+            self._records.move_to_end(key)
+            while len(self._records) > self.max_entries:
+                self._records.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._records.clear()
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+
+#: The memo every :class:`DistributedSearch` consults.
+evaluation_memo = EvaluationMemo()
+
+
+def _binding_digest(binding_key: tuple) -> str:
+    """Short stable digest of a resolved binding (trace attribute)."""
+    return hashlib.blake2b(
+        repr(binding_key).encode(), digest_size=6
+    ).hexdigest()
 
 
 @dataclass
@@ -192,13 +254,39 @@ class DistributedSearch:
     # ------------------------------------------------------------------
     # Evaluation with memoization
     # ------------------------------------------------------------------
-    def _reference(self, input_id: int) -> np.ndarray:
-        if input_id not in self._references:
-            self._references[input_id] = np.asarray(
+    def _memo_scope(self) -> "tuple | None":
+        """``(program identity, backend class)`` for the shared memo, or
+        None when this evaluation must run the program.
+
+        A skipped run would record nothing into an installed statistics
+        collector, an abstract backend's payloads are not plain outputs,
+        and a program without ``program_identity`` cannot prove two
+        instances compute the same thing.
+        """
+        identity = getattr(self._program, "program_identity", None)
+        if identity is None or collecting():
+            return None
+        backend = active_backend()
+        if backend.payload_trailing_dims:
+            return None
+        return (identity(), type(backend))
+
+    def _reference(self, input_id: int, scope: "tuple | None") -> np.ndarray:
+        if input_id in self._references:
+            return self._references[input_id]
+        key = None if scope is None else ("reference", *scope, input_id)
+        ref = None if key is None else evaluation_memo.get(key)
+        if ref is None:
+            # A copy: the program keeps no handle on the shared record.
+            ref = np.array(
                 self._program.run(baseline_binding(self._program), input_id),
                 dtype=np.float64,
             )
-        return self._references[input_id]
+            if key is not None:
+                ref.setflags(write=False)
+                evaluation_memo.put(key, ref)
+        self._references[input_id] = ref
+        return ref
 
     def _binding(self, precisions: Mapping[str, int]) -> dict[str, FPFormat]:
         return {
@@ -208,7 +296,13 @@ class DistributedSearch:
     def evaluate(
         self, precisions: Mapping[str, int], input_id: int
     ) -> float:
-        """SQNR (dB) of the program under a precision assignment."""
+        """SQNR (dB) of the program under a precision assignment.
+
+        The first request for an assignment counts as one evaluation
+        (and against the budget) whether the shared memo answers it or
+        the program runs, so counts never depend on what other searches
+        in the process did before.
+        """
         key = (input_id, tuple(precisions[name] for name in self._names))
         if key not in self._cache:
             if self._budget is not None and self.evaluations >= self._budget:
@@ -216,22 +310,41 @@ class DistributedSearch:
                     f"{self._program.name}: evaluation budget of "
                     f"{self._budget} exhausted"
                 )
-            # Only *uncached* evaluations get a span: they are the ones
-            # that cost a program execution (attrs are set post-hoc so
-            # the telemetry-off path computes nothing extra).
+            # Attrs are set post-hoc so the telemetry-off path computes
+            # nothing extra.
             with _span("tuning.evaluate") as sp:
-                output = self._program.run(
-                    self._binding(precisions), input_id
+                binding = self._binding(precisions)
+                resolved = tuple(
+                    (binding[name].exp_bits, binding[name].man_bits)
+                    for name in self._names
                 )
-                self._cache[key] = sqnr_db(
-                    self._reference(input_id), output
-                )
+                value, source = self._score(binding, resolved, input_id)
+                self._cache[key] = value
                 if sp is not None:
                     sp.attrs["program"] = self._program.name
                     sp.attrs["input"] = input_id
-                    sp.attrs["sqnr_db"] = float(self._cache[key])
+                    sp.attrs["sqnr_db"] = float(value)
+                    sp.attrs["source"] = source
+                    sp.attrs["binding"] = _binding_digest(resolved)
             self.evaluations += 1
         return self._cache[key]
+
+    def _score(
+        self, binding: dict[str, FPFormat], resolved: tuple, input_id: int
+    ) -> tuple[float, str]:
+        """SQNR of one binding and where it came from (memo or run)."""
+        scope = self._memo_scope()
+        memo_key = None
+        if scope is not None:
+            memo_key = ("sqnr", *scope, input_id, resolved)
+            value = evaluation_memo.get(memo_key)
+            if value is not None:
+                return value, "memo"
+        output = self._program.run(binding, input_id)
+        value = sqnr_db(self._reference(input_id, scope), output)
+        if memo_key is not None:
+            evaluation_memo.put(memo_key, value)
+        return value, "run"
 
     @property
     def target_db(self) -> float:

@@ -270,3 +270,36 @@ class TestEndToEnd:
         assert backend.params_for(BINARY32).kind == "single"
         assert backend.params_for(BINARY64).kind == "identity"
         assert backend.params_for(BINARY8).kind == "generic"
+
+    @pytest.mark.parametrize("fmt", [BINARY8, BINARY16, BINARY32, BINARY64])
+    def test_one_errstate_per_array_call(self, fmt, fast, monkeypatch):
+        entered = []
+        real = np.errstate
+
+        def counting(**kwargs):
+            entered.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counting)
+        a = np.array([1.0, -0.0, 3.0e38, np.inf])
+        b = np.array([0.0, 0.0, 1.0e-38, np.inf])
+        for op in ("add", "sub", "mul", "div"):
+            entered.clear()
+            fast.binary_array(op, a, b, fmt)
+            assert len(entered) <= 1, op
+        for op in ("sqrt", "exp", "log"):
+            entered.clear()
+            fast.unary_array(op, a, fmt)
+            assert len(entered) <= 1, op
+
+    @pytest.mark.parametrize("fmt", [BINARY8, BINARY16, BINARY32, BINARY64])
+    def test_zero_d_operands_stay_zero_d(self, fmt, reference, fast):
+        a, b = np.array(1.3), np.array(-2.7)
+        for op in ("add", "sub", "mul", "div"):
+            out = fast.binary_array(op, a, b, fmt)
+            assert isinstance(out, np.ndarray) and out.shape == ()
+            assert_bits_equal(
+                out, reference.binary_array(op, a, b, fmt), op
+            )
+        out = fast.quantize_array(a, fmt)
+        assert isinstance(out, np.ndarray) and out.shape == ()
