@@ -76,26 +76,29 @@ def paired_overhead(pairs: int = PAIRS) -> dict:
 
     Pairing each guarded run with an adjacent bare one (alternating
     which goes first) makes every ratio a same-conditions comparison;
-    the median discards the pairs a scheduler hiccup landed in.
+    the median discards the pairs a scheduler hiccup landed in.  The
+    last pair's runners and results come back for the identity checks.
     """
     ratios, bares, guardeds = [], [], []
     for rep in range(pairs):
         order = ("guarded", "bare") if rep % 2 else ("bare", "guarded")
-        seconds = {
-            tag: timed_run(
-                make_bare() if tag == "bare" else make_runner("guarded")
-            )[0]
-            for tag in order
-        }
-        bares.append(seconds["bare"])
-        guardeds.append(seconds["guarded"])
-        ratios.append(seconds["guarded"] / seconds["bare"])
+        runs = {}
+        for tag in order:
+            runner = make_bare() if tag == "bare" else make_runner(tag)
+            seconds, results = timed_run(runner)
+            runs[tag] = (runner, seconds, results)
+        bares.append(runs["bare"][1])
+        guardeds.append(runs["guarded"][1])
+        ratios.append(guardeds[-1] / bares[-1])
     return {
         "pairs": pairs,
         "bare_seconds": min(bares),
         "guarded_seconds": min(guardeds),
         "ratios": ratios,
         "overhead": statistics.median(ratios) - 1.0,
+        "bare": runs["bare"][0],
+        "guarded": runs["guarded"][0],
+        "results": runs["guarded"][2],
     }
 
 
@@ -113,11 +116,8 @@ def test_fault_tolerance_overhead_and_recovery():
     # Fault-tolerant defaults on a clean grid against the bare path:
     # the overhead under test.
     measured = paired_overhead()
-
-    bare = make_bare()
-    _, out_bare = timed_run(bare)
-    guarded = make_runner("guarded")
-    t_guarded, out_guarded = timed_run(guarded)
+    bare, guarded = measured["bare"], measured["guarded"]
+    t_guarded = measured["guarded_seconds"]
 
     # Recovery latency: same grid under a 10% injected crash rate.
     faulty = make_runner("faulty")
@@ -139,11 +139,11 @@ def test_fault_tolerance_overhead_and_recovery():
         "apps": list(APPS),
         "precisions": list(PRECISIONS),
         "jobs": JOBS,
-        "grid_size": len(out_guarded),
+        "grid_size": len(measured["results"]),
         "crash_rate": CRASH_RATE,
         "seconds": {
             "bare": measured["bare_seconds"],
-            "fault_tolerant": measured["guarded_seconds"],
+            "fault_tolerant": t_guarded,
             "crash_recovery": t_faulty,
         },
         "overhead_pairs": measured["pairs"],

@@ -59,11 +59,6 @@ def _safe_div(a: float, b: float) -> float:
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def _ieee_divide(a, b) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(a, b)
-
-
 #: Scalar implementations of the binary operators, on raw doubles.
 SCALAR_OPS = {
     "add": lambda a, b: a + b,
@@ -72,17 +67,14 @@ SCALAR_OPS = {
     "div": _safe_div,
 }
 
-#: Vectorized implementations of the binary operators.
+#: Vectorized implementations of the binary operators; callers hold an
+#: errstate ignoring division, overflow and invalid operations.
 ARRAY_OPS = {
     "add": np.add,
     "sub": np.subtract,
     "mul": np.multiply,
-    "div": _ieee_divide,
+    "div": np.divide,
 }
-
-#: The fast backend's operators: its callers already hold an errstate
-#: covering division, so plain ``np.divide`` replaces the wrapper.
-_FAST_ARRAY_OPS = {**ARRAY_OPS, "div": np.divide}
 
 #: Vectorized auxiliary (softfloat) functions.
 UNARY_ARRAY_OPS = {
@@ -136,8 +128,8 @@ class Backend(ABC):
 
     def binary_array(self, op: str, a, b, fmt: FPFormat) -> np.ndarray:
         """Fused elementwise operator + quantize-on-write."""
-        with np.errstate(invalid="ignore", over="ignore"):
-            # IEEE specials (inf - inf, 0 * inf, ...) are intended
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            # IEEE specials (inf - inf, 0 * inf, x / 0, ...) are intended
             # emulation results, not numerical accidents.
             raw = ARRAY_OPS[op](a, b)
         return self.quantize_array(raw, fmt)
@@ -322,7 +314,7 @@ class FastNumpyBackend(Backend):
         # specials (inf - inf, x / 0, saturation to inf) are intended
         # emulation results, not numerical accidents.
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            raw = _FAST_ARRAY_OPS[op](a, b)  # fresh buffer: safe to consume
+            raw = ARRAY_OPS[op](a, b)  # fresh buffer: safe to consume
             return self._sanitize(raw, self.params_for(fmt), owned=True)
 
     def unary_array(self, op: str, values, fmt: FPFormat) -> np.ndarray:

@@ -50,10 +50,8 @@ from .range_analysis import (
 )
 from .refine import refine
 from .search import (
-    MEMO_MAX_ENTRIES,
     BudgetExceededError,
     DistributedSearch,
-    EvaluationMemo,
     InfeasibleError,
     TuningResult,
     evaluation_memo,
@@ -105,8 +103,6 @@ __all__ = [
     "type_system",
     "type_system_names",
     "DistributedSearch",
-    "EvaluationMemo",
-    "MEMO_MAX_ENTRIES",
     "evaluation_memo",
     "TuningResult",
     "InfeasibleError",

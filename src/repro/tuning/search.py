@@ -52,13 +52,13 @@ __all__ = [
     "TuningResult",
     "InfeasibleError",
     "BudgetExceededError",
-    "EvaluationMemo",
-    "MEMO_MAX_ENTRIES",
     "evaluation_memo",
 ]
 
 #: Records the process-wide evaluation memo holds at most (SQNR values
 #: and reference outputs together); the least recently used goes first.
+#: The whole ``small`` default grid makes about 2000 records of about
+#: 550 bytes each, so a full memo holds some 16 grids in about 17 MiB.
 MEMO_MAX_ENTRIES = 1 << 15
 
 
@@ -90,8 +90,7 @@ class EvaluationMemo:
     class, input)`` lives here too, stored read-only.
     """
 
-    def __init__(self, max_entries: int = MEMO_MAX_ENTRIES) -> None:
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._records: OrderedDict = OrderedDict()
         # Server worker threads tune concurrently.
         self._lock = threading.Lock()
@@ -108,7 +107,7 @@ class EvaluationMemo:
         with self._lock:
             self._records[key] = value
             self._records.move_to_end(key)
-            while len(self._records) > self.max_entries:
+            while len(self._records) > MEMO_MAX_ENTRIES:
                 self._records.popitem(last=False)
 
     def clear(self) -> None:

@@ -7,6 +7,8 @@ non-finite values (NaN payloads may be canonicalized, NaN-ness may not
 change).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -303,3 +305,16 @@ class TestEndToEnd:
             )
         out = fast.quantize_array(a, fmt)
         assert isinstance(out, np.ndarray) and out.shape == ()
+
+    @pytest.mark.parametrize("fmt", [BINARY8, BINARY16, BINARY32, BINARY64])
+    def test_ieee_specials_without_warnings(self, fmt, reference, fast):
+        a = np.array([1.0, -1.0, 0.0, np.inf])
+        b = np.array([0.0, 0.0, 0.0, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for backend in (reference, fast):
+                quotient = backend.binary_array("div", a, b, fmt)
+                difference = backend.binary_array("sub", b, b, fmt)
+                assert quotient[0] == np.inf and quotient[1] == -np.inf
+                assert np.isnan(quotient[2:]).all()
+                assert np.isnan(difference[3])

@@ -8,12 +8,10 @@ from repro.analysis.common import default_grid
 from repro.apps import ConvApp, make_app
 from repro.core import FlexFloatArray, Stats, collect, use_backend
 from repro.tuning import (
-    MEMO_MAX_ENTRIES,
     V1,
     V2,
     BudgetExceededError,
     DistributedSearch,
-    EvaluationMemo,
     VarSpec,
     evaluation_memo,
     precision_to_sqnr_db,
@@ -93,7 +91,8 @@ def test_grid_envelopes_identical_with_warm_and_unread_memo(
     monkeypatch.setattr(evaluation_memo, "get", lambda key: None)
     unread = run_grid("unread")
     monkeypatch.undo()
-    assert len(evaluation_memo) > 0
+    # The whole grid fits: nothing was evicted before the warm run.
+    assert 0 < len(evaluation_memo) < search_mod.MEMO_MAX_ENTRIES
 
     hits = []
     real_get = evaluation_memo.get
@@ -182,8 +181,9 @@ def test_other_type_system_reuses_shared_bindings():
 
 
 class TestBound:
-    def test_lru_eviction_keeps_the_bound(self):
-        memo = EvaluationMemo(max_entries=3)
+    def test_lru_eviction_keeps_the_bound(self, monkeypatch):
+        monkeypatch.setattr(search_mod, "MEMO_MAX_ENTRIES", 3)
+        memo = search_mod.EvaluationMemo()
         for k in range(5):
             memo.put(k, float(k))
             assert len(memo) <= 3
@@ -194,16 +194,15 @@ class TestBound:
         assert memo.get(2) == 2.0
 
     def test_searches_never_exceed_the_bound(self, monkeypatch):
-        small = EvaluationMemo(max_entries=8)
-        monkeypatch.setattr(search_mod, "evaluation_memo", small)
+        monkeypatch.setattr(search_mod, "MEMO_MAX_ENTRIES", 8)
         sizes = []
-        real_put = small.put
+        real_put = evaluation_memo.put
 
         def put(key, value):
             real_put(key, value)
-            sizes.append(len(small))
+            sizes.append(len(evaluation_memo))
 
-        monkeypatch.setattr(small, "put", put)
+        monkeypatch.setattr(evaluation_memo, "put", put)
         app = CountingConv()
         bounded, result = solve(app)
         evaluation_memo.clear()
@@ -211,9 +210,6 @@ class TestBound:
         _, unbounded = solve(CountingConv())
         assert sizes and max(sizes) == 8
         assert result.to_payload() == unbounded.to_payload()
-
-    def test_default_bound_is_a_constant(self):
-        assert evaluation_memo.max_entries == MEMO_MAX_ENTRIES
 
     def test_reference_outputs_are_read_only(self):
         search, _ = solve(CountingConv())
