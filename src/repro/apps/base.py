@@ -28,6 +28,7 @@ from repro.core import (
     BINARY64,
     FlexFloat,
     FlexFloatArray,
+    FormatBatch,
     FPFormat,
 )
 from repro.hardware import ArrayRef, KernelBuilder, Program, Reg
@@ -57,9 +58,16 @@ def wider(a: FPFormat, b: FPFormat) -> FPFormat:
 
     More total bits wins; at equal width (binary16 vs binary16alt) the
     wider exponent wins, so promotions never lose dynamic range.
+    Batched formats promote candidate by candidate.
     """
     if a == b:
         return a
+    if isinstance(a, FormatBatch) or isinstance(b, FormatBatch):
+        width = len(a if isinstance(a, FormatBatch) else b)
+        return FormatBatch.of(
+            map(wider, FormatBatch.spread(a, width),
+                FormatBatch.spread(b, width))
+        )
     if a.bits != b.bits:
         return a if a.bits > b.bits else b
     return a if a.exp_bits >= b.exp_bits else b
@@ -76,7 +84,12 @@ def promote(a: FF, b: FF) -> tuple[FF, FF, FPFormat]:
 
 
 def lanes_for(fmt: FPFormat) -> int:
-    """SIMD lanes a vectorized region uses for a compute format."""
+    """SIMD lanes a vectorized region uses for a compute format.
+
+    A batch of formats gets the fewest lanes any of its candidates gets.
+    """
+    if isinstance(fmt, FormatBatch):
+        return min(map(lanes_for, fmt.formats))
     if fmt.bits <= 8:
         return 4
     if fmt.bits <= 16:
@@ -177,6 +190,11 @@ class TransprecisionApp(ABC):
     #: Whether :meth:`partition` chunks the dominant loop across cores
     #: (False: the fallback runs the whole kernel on core 0).
     partitionable: bool = False
+    #: Whether :meth:`run_numeric` accepts a binding of
+    #: :class:`~repro.core.FormatBatch` values under a batched backend,
+    #: returning its output with the candidate axis trailing (the tuner
+    #: then scores many candidates in one run).
+    format_batch_safe: bool = False
 
     def __init__(self, scale: str | AppScale = "small") -> None:
         self.scale = SCALES[scale] if isinstance(scale, str) else scale

@@ -60,6 +60,7 @@ class PcaApp(TransprecisionApp):
     """Projection onto the two leading principal components."""
 
     name = "pca"
+    format_batch_safe = True
 
     def __init__(self, scale="small", manual_vectorize: bool = False) -> None:
         super().__init__(scale)
@@ -127,7 +128,7 @@ class PcaApp(TransprecisionApp):
         proj_region = wider(data_fmt, eig_fmt)
         vector_proj = self.manual_vectorize and lanes_for(proj_region) > 1
 
-        proj_out = np.zeros((n, COMPONENTS))
+        proj_cols = []
         start = 1.0 / float(np.sqrt(d))
         for comp in range(COMPONENTS):
             v = FlexFloatArray(np.full(d, start), eig_fmt)
@@ -193,8 +194,11 @@ class PcaApp(TransprecisionApp):
             else:
                 p = project()
             p_s = p if proj_fmt == proj_region else p.cast(proj_fmt)
-            proj_out[:, comp] = p_s.to_numpy()
-        return proj_out.reshape(-1)
+            proj_cols.append(p_s.to_numpy())
+        # Sample-major, component-minor; a batched run keeps its
+        # candidate axis trailing.
+        proj_out = np.stack(proj_cols, axis=1)
+        return proj_out.reshape(n * COMPONENTS, *proj_out.shape[2:])
 
     def _covariance(
         self, centered: FlexFloatArray, cov_fmt: FPFormat
@@ -238,10 +242,11 @@ class PcaApp(TransprecisionApp):
         """``cov - lam * v v^T`` as one whole-matrix update.
 
         Row i scales ``vr`` (the eigenvector in the eigen region) by the
-        concrete component ``float(vr[i])``, the value the kernel loads.
+        concrete component ``vr[i]`` and then by ``lam``, both reloaded
+        as literals of the eigen region, the values the kernel loads.
         """
-        v_col = np.array([[float(vi)] for vi in vr])
-        correction = vr * v_col * float(lam)
+        v_col = vr.as_literal(vr.fmt).reshape(-1, 1)
+        correction = vr * v_col * lam.as_literal(vr.fmt)
         if cov_store.fmt != vr.fmt:
             correction = correction.cast(cov_store.fmt)
         return cov_store - correction

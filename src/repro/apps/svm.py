@@ -49,6 +49,7 @@ class SvmApp(TransprecisionApp):
     """Multi-class polynomial-kernel SVM prediction."""
 
     name = "svm"
+    format_batch_safe = True
 
     def variables(self):
         s, d = self.scale.svm_vectors, self.scale.svm_dims
@@ -87,7 +88,7 @@ class SvmApp(TransprecisionApp):
         m = self.scale.svm_queries
         c = self.scale.svm_classes
 
-        scores = np.zeros((m, c))
+        scores = []
         for q in range(m):
             # Casts happen per scan, matching the kernel form: narrow
             # operands are converted as they stream out of memory.
@@ -128,8 +129,11 @@ class SvmApp(TransprecisionApp):
             sc = sc + bi_r
             if sc_fmt != acc_region:
                 sc = sc.cast(sc_fmt)
-            scores[q] = sc.to_numpy()
-        return scores.reshape(-1)
+            scores.append(sc.to_numpy())
+        # Query-major, class-minor; a batched run keeps its candidate
+        # axis trailing.
+        out = np.stack(scores)
+        return out.reshape(m * c, *out.shape[2:])
 
     # ------------------------------------------------------------------
     def build_program(

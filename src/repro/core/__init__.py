@@ -33,6 +33,7 @@ from .formats import (
     BINARY32,
     BINARY64,
     STANDARD_FORMATS,
+    FormatBatch,
     FPFormat,
     format_by_name,
 )
@@ -59,6 +60,7 @@ from . import interchange, mathfn
 
 __all__ = [
     "FPFormat",
+    "FormatBatch",
     "BINARY8",
     "BINARY16",
     "BINARY16ALT",

@@ -94,11 +94,23 @@ class FlexFloatArray:
         return self._data.ndim - ops.payload_offset()
 
     def __len__(self) -> int:
-        return len(self._data)
+        shape = self.shape
+        if not shape:
+            raise TypeError("len() of a 0-d FlexFloatArray")
+        return shape[0]
 
     def to_numpy(self) -> np.ndarray:
         """Explicit conversion to a plain float64 array (copy)."""
         return ops.collapse_array(self._data, self._fmt)
+
+    def as_literal(self, fmt: FPFormat) -> "FlexFloatArray":
+        """These values reloaded as literal data of ``fmt``.
+
+        Like ``FlexFloatArray(self.to_numpy(), fmt)`` with no operation
+        or cast counted, but the values stay in the active backend's
+        payload layout (a batched run keeps its candidate axis).
+        """
+        return FlexFloatArray._wrap(ops.literal(self._data, fmt), fmt)
 
     def cast(self, fmt: FPFormat) -> "FlexFloatArray":
         """Explicit elementwise format conversion (counted as casts)."""
@@ -238,7 +250,7 @@ class FlexFloatArray:
         else:
             work = np.moveaxis(self._data, axis, -1)
             lead = work.shape[:-1]
-            work = work.reshape(-1, work.shape[-1])
+            work = work.reshape(math.prod(lead), work.shape[-1])
         n = work.shape[1]
         if n == 0:
             reduced = np.zeros(work.shape[0])

@@ -175,6 +175,18 @@ class Backend(ABC):
         """Payload for ``to_numpy()``: a defensive copy by default."""
         return data.copy()
 
+    def literal(self, payload, fmt: FPFormat):
+        """A payload's concrete values re-entered as literal data of ``fmt``.
+
+        The values a kernel reloads as constants: pinned to concrete
+        doubles, then quantized into ``fmt`` as if written in the
+        source.  Concrete payloads are doubles already (a float for a
+        scalar, a float64 array otherwise).
+        """
+        if isinstance(payload, np.ndarray):
+            return self.quantize_array(payload, fmt)
+        return self.quantize(payload, fmt)
+
     def neg_array(self, data: np.ndarray, fmt: FPFormat) -> np.ndarray:
         """Elementwise negation of a sanitized payload (sign-bit flip)."""
         return -data

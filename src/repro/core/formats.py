@@ -18,9 +18,11 @@ value with a native double; quantizing to binary64 is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 __all__ = [
     "FPFormat",
+    "FormatBatch",
     "BINARY8",
     "BINARY16",
     "BINARY16ALT",
@@ -183,6 +185,52 @@ class FPFormat:
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return repr(self)
+
+
+class FormatBatch:
+    """One :class:`FPFormat` per candidate of a batched program run.
+
+    The tuner scores several candidate bindings in one run by binding
+    each variable to the formats all candidates give it; payloads then
+    carry the candidate axis as a trailing axis.  Build batches with
+    :meth:`of`, which collapses to the plain format when every candidate
+    agrees.  Batches compare and hash by their format tuple, so the
+    emulation types' same-format checks work unchanged.
+    """
+
+    __slots__ = ("formats",)
+
+    def __init__(self, formats: Iterable[FPFormat]) -> None:
+        self.formats = tuple(formats)
+
+    @classmethod
+    def of(cls, formats: Iterable[FPFormat]) -> "FPFormat | FormatBatch":
+        """The batch of ``formats``, or their common format if all agree."""
+        formats = tuple(formats)
+        if all(fmt == formats[0] for fmt in formats):
+            return formats[0]
+        return cls(formats)
+
+    @staticmethod
+    def spread(fmt: "FPFormat | FormatBatch", width: int) -> tuple:
+        """Per-candidate formats of ``fmt`` across ``width`` candidates."""
+        if isinstance(fmt, FormatBatch):
+            return fmt.formats
+        return (fmt,) * width
+
+    def __len__(self) -> int:
+        return len(self.formats)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FormatBatch):
+            return self.formats == other.formats
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.formats)
+
+    def __repr__(self) -> str:  # pragma: no cover - trivial
+        return "FormatBatch(" + ", ".join(map(repr, self.formats)) + ")"
 
 
 BINARY8 = FPFormat(5, 2, name="binary8")

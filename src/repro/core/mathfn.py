@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import Union
 
+import numpy as np
+
 from . import ops
 from .array import FlexFloatArray
 from .stats import record_op
@@ -33,6 +35,15 @@ def _unary(x: FF, name: str, scalar_fn) -> FF:
             ops.unary_array(name, x._data, x.fmt), x.fmt
         )
     record_op(x.fmt, name)
+    if isinstance(x._value, np.ndarray):
+        # One value per batched candidate: the array kernel, with the
+        # scalar path's domain error for log(0).
+        values = x._value
+        if name == "log":
+            values = np.where(values == 0.0, np.nan, values)
+        return FlexFloat._from_raw(
+            ops.unary_array(name, values, x.fmt), x.fmt
+        )
     try:
         raw = scalar_fn(float(x))
     except ValueError:

@@ -41,6 +41,7 @@ __all__ = [
     "item_payload",
     "collapse",
     "collapse_array",
+    "literal",
     "neg_array",
     "array_minmax",
     "sum_reduce",
@@ -62,9 +63,11 @@ def payload_offset() -> int:
 # ----------------------------------------------------------------------
 def quantize(x: float, fmt: FPFormat) -> float:
     """Round ``x`` to the nearest value representable in ``fmt``."""
-    if type(x) is not float and not getattr(x, "_abstract_payload_", False):
+    backend = current_context().backend
+    if type(x) is not float and not backend.payload_trailing_dims:
+        # Payloads of trailing-axis backends reach them as they are.
         x = float(x)
-    return current_context().backend.quantize(x, fmt)
+    return backend.quantize(x, fmt)
 
 
 def quantize_array(values, fmt: FPFormat) -> np.ndarray:
@@ -141,6 +144,11 @@ def collapse(value, fmt: FPFormat) -> float:
 def collapse_array(data, fmt: FPFormat) -> np.ndarray:
     """Payload behind ``FlexFloatArray.to_numpy()``."""
     return current_context().backend.collapse_array(data, fmt)
+
+
+def literal(payload, fmt: FPFormat):
+    """A payload's concrete values re-entered as literal data of ``fmt``."""
+    return current_context().backend.literal(payload, fmt)
 
 
 def neg_array(data, fmt: FPFormat) -> np.ndarray:

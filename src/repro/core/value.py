@@ -100,6 +100,16 @@ class FlexFloat:
         object.__setattr__(out, "_value", ops.quantize(self._value, fmt))
         return out
 
+    def as_literal(self, fmt: FPFormat) -> "FlexFloat":
+        """This value reloaded as a literal constant of ``fmt``.
+
+        Like ``FlexFloat(float(self), fmt)``: the value is pinned to a
+        concrete double and quantized into ``fmt`` with no operation or
+        cast counted.  Unlike ``float()``, it also works on payloads
+        that are not one double (a batched run's per-candidate values).
+        """
+        return FlexFloat._from_raw(ops.literal(self._value, fmt), fmt)
+
     def __float__(self) -> float:
         value = self._value
         if type(value) is float:

@@ -108,6 +108,13 @@ class AnalysisLog:
             p = np.asarray(pair, dtype=np.float64).reshape(2)
             self._grow_collapse_hull(p[0:1], p[1:2])
 
+    def note_pinned_array(self, c, r) -> None:
+        """Array values pinned to their centers and fed back as literals:
+        one tainting collapse, counted with the scalar ones."""
+        self.scalar_collapses += 1
+        self.collapsed = True
+        self._grow_collapse_hull(np.atleast_1d(c), np.atleast_1d(r))
+
     def note_array_collapse(self, c=None, r=None) -> None:
         self.array_collapses += 1
         self.array_collapse_open = True
@@ -195,10 +202,6 @@ class AbstractScalar:
     on the owning log -- the analysis then knows its result is no
     longer exact.
     """
-
-    #: Marker consumed by :func:`repro.core.ops.quantize` so abstract
-    #: payloads are not coerced through ``float()`` at the dispatch door.
-    _abstract_payload_ = True
 
     __slots__ = ("pair", "_log")
 
@@ -521,6 +524,14 @@ class AbstractBackend(Backend):
         if isinstance(value, AbstractScalar):
             return value._collapse()
         return float(value)
+
+    def literal(self, payload, fmt: FPFormat):
+        if isinstance(payload, AbstractScalar):
+            return self.quantize(payload._collapse(), fmt)
+        c, r = _split(payload)
+        if self.log is not None:
+            self.log.note_pinned_array(c, r)
+        return self.quantize_array(c, fmt)
 
     # ==================================================================
     # Backend protocol: array path

@@ -40,7 +40,16 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core import FPFormat, active_backend, collecting
+from repro.core import (
+    ExecutionContext,
+    FastNumpyBackend,
+    FormatBatch,
+    FPFormat,
+    active_backend,
+    collecting,
+)
+from repro.core.batch import FormatBatchBackend
+from repro.core.context import activate_context
 from repro.telemetry import span as _span
 
 from .mapping import MAX_PRECISION_BITS, TypeSystem
@@ -302,21 +311,15 @@ class DistributedSearch:
         the program runs, so counts never depend on what other searches
         in the process did before.
         """
-        key = (input_id, tuple(precisions[name] for name in self._names))
+        key = self._key(precisions, input_id)
         if key not in self._cache:
             if self._budget is not None and self.evaluations >= self._budget:
-                raise BudgetExceededError(
-                    f"{self._program.name}: evaluation budget of "
-                    f"{self._budget} exhausted"
-                )
+                self._exhausted()
             # Attrs are set post-hoc so the telemetry-off path computes
             # nothing extra.
             with _span("tuning.evaluate") as sp:
                 binding = self._binding(precisions)
-                resolved = tuple(
-                    (binding[name].exp_bits, binding[name].man_bits)
-                    for name in self._names
-                )
+                resolved = self._resolved(binding)
                 value, source = self._score(binding, resolved, input_id)
                 self._cache[key] = value
                 if sp is not None:
@@ -327,6 +330,122 @@ class DistributedSearch:
                     sp.attrs["binding"] = _binding_digest(resolved)
             self.evaluations += 1
         return self._cache[key]
+
+    def _key(self, precisions: Mapping[str, int], input_id: int) -> tuple:
+        return (input_id, tuple(precisions[name] for name in self._names))
+
+    def _resolved(self, binding: Mapping[str, FPFormat]) -> tuple:
+        return tuple(
+            (binding[name].exp_bits, binding[name].man_bits)
+            for name in self._names
+        )
+
+    def _exhausted(self) -> None:
+        raise BudgetExceededError(
+            f"{self._program.name}: evaluation budget of "
+            f"{self._budget} exhausted"
+        )
+
+    def evaluate_many(
+        self, candidates: Sequence[Mapping[str, int]], input_id: int
+    ) -> list[float]:
+        """SQNRs (dB) of several precision assignments, in order.
+
+        Answers, cache and memo records, evaluation counts and the
+        budget are exactly those of calling :meth:`evaluate` on each
+        candidate in turn: the admissible prefix is scored, then
+        :class:`BudgetExceededError` fires at the same count.  When the
+        active backend is the fast one, the program declares a
+        batch-safe numeric form (``format_batch_safe``) and no
+        statistics collector is installed, the candidates neither this
+        search nor the shared memo can answer are scored together by one
+        program run over :class:`~repro.core.FormatBatch` formats --
+        provided there are at least two of them.  Otherwise this is the
+        plain loop over :meth:`evaluate`.
+        """
+        if (
+            type(active_backend()) is not FastNumpyBackend
+            or not getattr(self._program, "format_batch_safe", False)
+            or collecting()
+        ):
+            return [self.evaluate(c, input_id) for c in candidates]
+
+        # First requests, in order, up to the budget.
+        fresh: dict[tuple, Mapping[str, int]] = {}
+        exhausted = False
+        for precisions in candidates:
+            key = self._key(precisions, input_id)
+            if key in self._cache or key in fresh:
+                continue
+            if (
+                self._budget is not None
+                and self.evaluations + len(fresh) >= self._budget
+            ):
+                exhausted = True
+                break
+            fresh[key] = precisions
+
+        scope = self._memo_scope()
+        bindings = [self._binding(p) for p in fresh.values()]
+        resolved = [self._resolved(binding) for binding in bindings]
+        memo_keys = [
+            None if scope is None else ("sqnr", *scope, input_id, r)
+            for r in resolved
+        ]
+        values = [
+            None if key is None else evaluation_memo.get(key)
+            for key in memo_keys
+        ]
+        misses = [i for i, value in enumerate(values) if value is None]
+        if len(misses) < 2:
+            return [self.evaluate(c, input_id) for c in candidates]
+
+        with _span("tuning.evaluate_many") as sp:
+            scores = self._run_batch(
+                [bindings[i] for i in misses], input_id, scope
+            )
+            for i, value in zip(misses, scores):
+                values[i] = value
+                if scope is not None:
+                    evaluation_memo.put(memo_keys[i], value)
+            self._cache.update(zip(fresh, values))
+            if sp is not None:
+                sp.attrs["program"] = self._program.name
+                sp.attrs["input"] = input_id
+                sp.attrs["candidates"] = len(fresh)
+                sp.attrs["runs"] = len(misses)
+                sp.attrs["sqnr_db"] = [float(v) for v in values]
+                sp.attrs["binding"] = [_binding_digest(r) for r in resolved]
+        self.evaluations += len(fresh)
+        if exhausted:
+            self._exhausted()
+        return [
+            self._cache[self._key(c, input_id)] for c in candidates
+        ]
+
+    def _run_batch(
+        self,
+        bindings: Sequence[Mapping[str, FPFormat]],
+        input_id: int,
+        scope: "tuple | None",
+    ) -> list[float]:
+        """SQNR of every binding from one run over their format batches."""
+        reference = self._reference(input_id, scope)
+        batch = {
+            name: FormatBatch.of(binding[name] for binding in bindings)
+            for name in self._names
+        }
+        # A context of its own, not a backend swap on the current one:
+        # threads may share that context, and no collector is wanted.
+        batched = ExecutionContext(FormatBatchBackend(len(bindings)))
+        with activate_context(batched):
+            output = self._program.run(batch, input_id)
+        # Contiguous per-candidate columns: the serial outputs' layout,
+        # so every float64 sum rounds the same way.
+        return [
+            sqnr_db(reference, np.ascontiguousarray(output[..., k]))
+            for k in range(len(bindings))
+        ]
 
     def _score(
         self, binding: dict[str, FPFormat], resolved: tuple, input_id: int
@@ -418,14 +537,18 @@ class DistributedSearch:
     ) -> None:
         """Give one extra precision bit to the most profitable variable."""
         base = self.evaluate(current, input_id)
-        best_name = None
-        best_gain = -math.inf
+        names, trials = [], []
         for name in self._names:
             if current[name] >= self._max_p:
                 continue
             trial = dict(current)
             trial[name] += 1
-            gain = self.evaluate(trial, input_id) - base
+            names.append(name)
+            trials.append(trial)
+        best_name = None
+        best_gain = -math.inf
+        for name, score in zip(names, self.evaluate_many(trials, input_id)):
+            gain = score - base
             if gain > best_gain:
                 best_gain = gain
                 best_name = name
