@@ -11,9 +11,16 @@ speedup is tracked across PRs, and asserts the fast backend's headline
 speedup (the acceptance bar is 1.5x over the seed array path, which the
 reference backend preserves unchanged; typical measured speedups are
 4x on binary16alt and >30x on binary32).
+
+The scalar ``quantize`` rows (kernel emission rounds every emitted
+value one scalar at a time) time both backends per call as the median
+of back-to-back paired ratios, alternating which runs first, gated at
+>= 2x per standard format and recorded in the same file under
+``scalar_quantize``.
 """
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -83,6 +90,15 @@ class TestEmulatedArrayOps:
             benchmark(a.dot, b)
 
 
+def _record(entries: dict) -> None:
+    """Merge ``entries`` into ``results/bench/backends.json``."""
+    path = RESULTS_DIR / "backends.json"
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    report = json.loads(path.read_text()) if path.exists() else {}
+    report.update(entries)
+    path.write_text(json.dumps(report, indent=2))
+
+
 def _time_workload(backend_name: str, payload: np.ndarray, fmt) -> float:
     """Best-of-repeats seconds for the emulated mul+tree-sum hot path."""
     with Session(backend=backend_name):
@@ -114,10 +130,7 @@ class TestSpeedupSummary:
                 "fast_us": fast * 1e6,
                 "speedup": ref / fast,
             }
-        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        (RESULTS_DIR / "backends.json").write_text(
-            json.dumps(report, indent=2)
-        )
+        _record(report)
         lines = [
             f"  {name:12s} {r['reference_us']:9.1f}us -> "
             f"{r['fast_us']:7.1f}us  ({r['speedup']:.1f}x)"
@@ -127,4 +140,74 @@ class TestSpeedupSummary:
         for name, r in report.items():
             assert r["speedup"] >= 1.5, (
                 f"fast backend only {r['speedup']:.2f}x on {name}"
+            )
+
+
+#: Scalar values per timed batch, and back-to-back batch pairs per format.
+SCALARS_PER_BATCH = 2000
+SCALAR_PAIRS = 6
+
+
+def _paired_ratio(slow, fast, pairs: int = SCALAR_PAIRS) -> dict:
+    """Median slow/fast ratio over back-to-back paired batches.
+
+    Each pair times both batches under the same conditions (alternating
+    which runs first), so CPU frequency drift and background load
+    cancel in the ratio; the median discards the pairs a scheduler
+    hiccup landed in.
+    """
+    ratios, slows, fasts = [], [], []
+    for rep in range(pairs):
+        order = (slow, fast) if rep % 2 == 0 else (fast, slow)
+        seconds = {}
+        for batch in order:
+            start = time.perf_counter()
+            batch()
+            seconds[batch] = time.perf_counter() - start
+        slows.append(seconds[slow])
+        fasts.append(seconds[fast])
+        ratios.append(seconds[slow] / seconds[fast])
+    return {
+        "pairs": pairs,
+        "slow_seconds": min(slows),
+        "fast_seconds": min(fasts),
+        "ratio": statistics.median(ratios),
+    }
+
+
+class TestScalarQuantize:
+    def test_fast_scalar_quantize_beats_reference(self, payload):
+        """Per-call scalar rounding: fast >= 2x the reference, every
+        standard format (the emitted values of a kernel build)."""
+        values = [float(v) for v in payload[:SCALARS_PER_BATCH]]
+        reference = resolve_backend("reference")
+        fast = resolve_backend("fast")
+        report = {}
+        for fmt_name, fmt in FORMATS.items():
+            def reference_batch(fmt=fmt):
+                for v in values:
+                    reference.quantize(v, fmt)
+
+            def fast_batch(fmt=fmt):
+                for v in values:
+                    fast.quantize(v, fmt)
+
+            fast_batch()  # warm the params cache
+            measured = _paired_ratio(reference_batch, fast_batch)
+            report[fmt_name] = {
+                "reference_ns": measured["slow_seconds"] / len(values) * 1e9,
+                "fast_ns": measured["fast_seconds"] / len(values) * 1e9,
+                "speedup": measured["ratio"],
+                "pairs": measured["pairs"],
+            }
+        _record({"scalar_quantize": report})
+        print("\nscalar quantize per call (median of paired ratios):\n"
+              + "\n".join(
+                  f"  {name:12s} {r['reference_ns']:7.0f}ns -> "
+                  f"{r['fast_ns']:6.0f}ns  ({r['speedup']:.1f}x)"
+                  for name, r in report.items()
+              ))
+        for name, r in report.items():
+            assert r["speedup"] >= 2.0, (
+                f"fast scalar quantize only {r['speedup']:.2f}x on {name}"
             )

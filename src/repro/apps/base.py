@@ -217,13 +217,15 @@ class TransprecisionApp(ABC):
         return self.run_numeric(binding, input_id)
 
     def program_identity(self) -> tuple:
-        """Hashable key for everything :meth:`run_numeric` depends on
-        besides the binding and the input id.
+        """Hashable key for everything :meth:`run_numeric` and
+        :meth:`build_program` depend on besides the binding and the
+        input id.
 
-        Two apps with equal identities compute bit-identical outputs, so
-        the tuner's process-wide evaluation memo may share their SQNR
-        records.  Subclasses with constructor flags that change the
-        numeric form must extend the tuple.
+        Two apps with equal identities compute bit-identical outputs and
+        emit identical kernels, so the process-wide evaluation memo may
+        share their SQNR records and baseline replays.  Subclasses with
+        constructor flags that change the numeric form or the kernel
+        must extend the tuple.
         """
         return (type(self), self.scale)
 

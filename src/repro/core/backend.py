@@ -14,16 +14,17 @@ Two backends ship:
   :mod:`repro.core.quantize` plus its reference numpy vectorization.
   This is the semantics oracle; every other backend must match it
   bit for bit.
-* :class:`FastNumpyBackend` -- the production array path.  Per-format
-  quantization constants are precomputed once and cached, binary16 /
-  binary32 sanitization uses the hardware's own correctly-rounding
-  ``float16``/``float32`` conversions, and all other formats go through
-  a short scale--``rint``--unscale kernel (both are IEEE 754
+* :class:`FastNumpyBackend` -- the production path, for arrays and
+  scalars alike.  Per-format quantization constants are precomputed
+  once and cached, binary16 / binary32 sanitization uses the
+  hardware's own correctly-rounding ``float16``/``float32``
+  conversions, and all other formats go through a short
+  scale--round--unscale kernel (both are IEEE 754
   round-to-nearest-even, so results stay bit-identical to the
-  reference; the randomized cross-check in ``tests/core/test_backend``
-  enforces this).  Arithmetic fuses the operation with quantize-on-write
-  so each emulated array op costs two to three numpy passes instead of
-  the reference's ~25.
+  reference; ``tests/core/test_backend`` and
+  ``tests/core/test_scalar_quantize`` enforce this).  Arithmetic fuses
+  the operation with quantize-on-write so each emulated array op costs
+  two to three numpy passes instead of the reference's ~25.
 
 Backends are stateless apart from caches, so one shared instance per
 class is handed out by :func:`resolve_backend`.
@@ -32,6 +33,7 @@ class is handed out by :func:`resolve_backend`.
 from __future__ import annotations
 
 import math
+import struct
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -252,18 +254,28 @@ class ReferenceBackend(Backend):
         return _reference.quantize_array(values, fmt)
 
 
+#: Native one-rounding (RNE) scalar converters: packing a double as a
+#: binary32 / binary16 rounds it once, and raises ``OverflowError``
+#: exactly where IEEE round-to-nearest overflows to infinity.
+_SINGLE = struct.Struct("<f")
+_HALF = struct.Struct("<e")
+
+
 class _FormatParams:
     """Precomputed quantization constants for one format."""
 
-    __slots__ = ("kind", "man_bits", "qmin", "max_value")
+    __slots__ = ("kind", "man_bits", "qmin", "max_value", "packer")
 
     def __init__(self, fmt: FPFormat) -> None:
+        self.packer = None
         if fmt.exp_bits == 11 and fmt.man_bits == 52:
             self.kind = "identity"  # binary64 is the backing type
         elif fmt.exp_bits == 5 and fmt.man_bits == 10:
             self.kind = "half"  # native float16 conversion is exact RNE
+            self.packer = _HALF
         elif fmt.exp_bits == 8 and fmt.man_bits == 23:
             self.kind = "single"  # native float32 conversion is exact RNE
+            self.packer = _SINGLE
         else:
             self.kind = "generic"
         self.man_bits = fmt.man_bits
@@ -274,20 +286,28 @@ class _FormatParams:
 
 
 class FastNumpyBackend(Backend):
-    """Precomputed-constant, fused-kernel array backend.
+    """Precomputed-constant, fused-kernel backend.
 
-    Scalars are not a hot path (the tuner and the apps vectorize), so
-    the scalar methods delegate to the exact reference pipeline; the
-    array methods are rebuilt for speed:
+    Scalars are a hot path too: kernel emission rounds every emitted FP
+    op, cast and store one scalar at a time (hundreds of thousands of
+    calls per default grid).  Both paths share the cached per-format
+    constants and round exactly once:
 
+    * scalar :meth:`quantize` passes NaN, infinities and signed zeros
+      through, is the identity for binary64, round-trips binary32 and
+      binary16 through a ``struct`` pack/unpack (the C conversions,
+      one RNE rounding; an ``OverflowError`` means the value is at or
+      beyond ``maxfinite + ulp/2`` and becomes a signed infinity), and
+      runs every other format through the scalar twin of the array
+      kernel below (``frexp``, quantum exponent, ``round``, ``ldexp``);
     * per-format constants (``emin - man_bits``, ``max_value``, kernel
       kind) are computed once and cached in a ``fmt -> params`` table;
     * binary16/binary32 use the CPU's own float16/float32 converters,
       which are IEEE correctly-rounding (one rounding, RNE) and
       therefore bit-identical to the reference quantizer;
-    * every other format uses a scale--``rint``--unscale kernel: with
-      ``q = max(exp(x), emin) - man_bits`` the value ``x * 2**-q`` is an
-      exact power-of-two scaling, ``rint`` performs the one
+    * every other format's array kernel is scale--``rint``--unscale:
+      with ``q = max(exp(x), emin) - man_bits`` the value ``x * 2**-q``
+      is an exact power-of-two scaling, ``rint`` performs the one
       round-to-nearest-even, and scaling back is exact because the
       rounded integer fits 25 bits.  Overflow beyond ``maxfinite`` is
       then mapped to infinity exactly where IEEE 754 demands
@@ -301,6 +321,11 @@ class FastNumpyBackend(Backend):
 
     def __init__(self) -> None:
         self._params: dict[FPFormat, _FormatParams] = {}
+        # The scalar path's last (format, params) pair: emitted kernels
+        # round long runs of values into one format, and an identity
+        # check is far cheaper than hashing the format.  One tuple,
+        # swapped atomically, so threads never see a mismatched pair.
+        self._last_params: tuple = (None, None)
 
     # ------------------------------------------------------------------
     def params_for(self, fmt: FPFormat) -> _FormatParams:
@@ -311,9 +336,34 @@ class FastNumpyBackend(Backend):
             params = self._params[fmt] = _FormatParams(fmt)
             return params
 
-    # -- scalar: exact reference (not the hot path) --------------------
+    # -- scalar: native exact rounding ----------------------------------
     def quantize(self, x: float, fmt: FPFormat) -> float:
-        return _reference.quantize(x, fmt)
+        x = float(x)
+        if x == 0.0 or x - x != 0.0:
+            return x  # signed zeros, infinities and NaN pass through
+        last_fmt, p = self._last_params
+        if last_fmt is not fmt:
+            p = self.params_for(fmt)
+            self._last_params = (fmt, p)
+        if p.packer is not None:
+            try:
+                return p.packer.unpack(p.packer.pack(x))[0]
+            except OverflowError:
+                return math.copysign(math.inf, x)
+        if p.kind == "identity":
+            return x
+        # The scalar twin of _generic: the scaled magnitude is an exact
+        # power-of-two scaling, round() the one round-to-nearest-even.
+        q = math.frexp(x)[1] - 1 - p.man_bits
+        if q < p.qmin:
+            q = p.qmin
+        try:
+            magnitude = math.ldexp(round(math.ldexp(abs(x), -q)), q)
+        except OverflowError:  # rounded past the largest double
+            magnitude = math.inf
+        if magnitude > p.max_value:
+            magnitude = math.inf
+        return math.copysign(magnitude, x)
 
     # -- array: fast kernels -------------------------------------------
     def quantize_array(self, values, fmt: FPFormat) -> np.ndarray:

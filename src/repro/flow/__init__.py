@@ -1,5 +1,15 @@
 """The five-step transprecision programming flow (paper Fig. 2)."""
 
-from .steps import FlowResult, TransprecisionFlow, default_cache_dir
+from .steps import (
+    FlowResult,
+    TransprecisionFlow,
+    default_cache_dir,
+    replay_baseline,
+)
 
-__all__ = ["FlowResult", "TransprecisionFlow", "default_cache_dir"]
+__all__ = [
+    "FlowResult",
+    "TransprecisionFlow",
+    "default_cache_dir",
+    "replay_baseline",
+]

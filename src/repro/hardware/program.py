@@ -24,6 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core import FPFormat, quantize, quantize_array
+from repro.telemetry import span as _span
 
 from .isa import Instr, Kind
 
@@ -100,7 +101,8 @@ class Program:
         if self._columns is None:
             from .columnar import lower_instrs
 
-            self._columns = lower_instrs(self.instrs)
+            with _span("kernel.lower", program=self.name):
+                self._columns = lower_instrs(self.instrs)
         return self._columns
 
     def output(self, name: str) -> np.ndarray:

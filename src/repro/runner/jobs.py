@@ -26,13 +26,16 @@ path) or inside a pool worker bootstrapped via ``Session.from_spec``.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Callable
 
 from repro.apps import PcaApp, make_app
 from repro.cluster import ClusterConfig, ClusterReport
-from repro.flow import FlowResult, TransprecisionFlow
+from repro.flow import FlowResult, TransprecisionFlow, replay_baseline
 from repro.hardware import Kind, Program, RunReport, VirtualPlatform
 from repro.session import Session
+from repro.telemetry import span as _span
 from repro.tuning import type_system
 
 from .store import JobSpec
@@ -84,33 +87,44 @@ def _baseline(
 ) -> RunReport:
     app = make_app(job.app, job.scale)
     with session:
-        program = app.build_program(
-            app.baseline_binding(), 0, vectorize=False
-        )
-    return session.platform.run(program)
+        return replay_baseline(app, session.platform)
 
 
-#: Tuned kernels rebuilt for report variants, keyed by grid point.
-#: Program construction is deterministic in (app, scale, binding) --
-#: and the binding is determined by the grid point, tuning strategy
-#: included -- so one build can serve every variant (castless and
-#: fast16 would otherwise each re-run the full emulated kernel build
-#: per app).  Bounded by the grid size.
-_TUNED_PROGRAMS: dict[tuple, Program] = {}
+#: Tuned programs :data:`_TUNED_PROGRAMS` keeps at most; the least
+#: recently used goes first.  The default grid derives castless,
+#: fast16 and cluster jobs from one grid point per app: 6 entries per
+#: scale.
+TUNED_PROGRAMS_MAX_ENTRIES = 6
+
+#: Tuned kernels rebuilt for derived jobs, keyed by grid point, as an
+#: LRU.  Program construction is deterministic in (app, scale, binding)
+#: -- and the binding is determined by the grid point, tuning strategy
+#: included -- so one build, and its columns once lowered, serves the
+#: castless and fast16 reports and every 1-core cluster job of that
+#: grid point.  Bounded: a server accepts report jobs for any precision
+#: and strategy, and each entry pins a program with its columns.
+_TUNED_PROGRAMS: "OrderedDict[tuple, Program]" = OrderedDict()
+_TUNED_PROGRAMS_LOCK = threading.Lock()
 
 
 def _tuned_program(
     job: JobSpec, session: Session, get_flow: FlowLoader
 ) -> Program:
     key = (job.app, job.scale, job.type_system, job.precision, job.strategy)
-    if key not in _TUNED_PROGRAMS:
-        flow = get_flow(job.app, job.type_system, job.precision)
-        app = make_app(job.app, job.scale)
-        with session:
-            _TUNED_PROGRAMS[key] = app.build_program(
-                flow.binding, 0, vectorize=True
-            )
-    return _TUNED_PROGRAMS[key]
+    with _TUNED_PROGRAMS_LOCK:
+        program = _TUNED_PROGRAMS.get(key)
+        if program is not None:
+            _TUNED_PROGRAMS.move_to_end(key)
+            return program
+    flow = get_flow(job.app, job.type_system, job.precision)
+    app = make_app(job.app, job.scale)
+    with session, _span("kernel.emit", program=app.name):
+        program = app.build_program(flow.binding, 0, vectorize=True)
+    with _TUNED_PROGRAMS_LOCK:
+        _TUNED_PROGRAMS[key] = program
+        while len(_TUNED_PROGRAMS) > TUNED_PROGRAMS_MAX_ENTRIES:
+            _TUNED_PROGRAMS.popitem(last=False)
+    return program
 
 
 def _castless(
@@ -135,7 +149,7 @@ def _pca_manual(
 ) -> RunReport:
     flow = get_flow(job.app, job.type_system, job.precision)
     manual = PcaApp(job.scale, manual_vectorize=True)
-    with session:
+    with session, _span("kernel.emit", program=manual.name):
         program = manual.build_program(flow.binding, 0, vectorize=True)
     return session.platform.run(program)
 
@@ -160,15 +174,23 @@ def compute_cluster(
     cluster job reproduces the flow's tuned report bit for bit.  The
     flow's tuned report is also the strong-scaling baseline: its
     cycles are the single-core replay of the very kernel the cluster
-    partitions.
+    partitions.  ``partition(1, ...)`` is the unpartitioned kernel bit
+    for bit, so a one-core job replays the tuned program the castless
+    and fast16 reports share, columns included.
     """
     flow = get_flow(job.app, job.type_system, job.precision)
     app = make_app(job.app, job.scale)
     platform = session.cluster_platform(
         ClusterConfig(job.cores, job.fpu_ratio)
     )
-    with session:
-        programs = app.partition(job.cores, flow.binding, 0, vectorize=True)
+    if job.cores == 1:
+        # The parent flow is loaded already: no second store read.
+        programs = [_tuned_program(job, session, lambda *_: flow)]
+    else:
+        with session, _span("kernel.emit", program=app.name):
+            programs = app.partition(
+                job.cores, flow.binding, 0, vectorize=True
+            )
     return platform.run(
         programs, name=app.name, serial_cycles=flow.tuned_report.cycles
     )

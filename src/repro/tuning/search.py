@@ -96,7 +96,9 @@ class EvaluationMemo:
     backend class, input set and resolved ``(exp_bits, man_bits)`` per
     variable -- reads the SQNR instead of running the program.  The
     binary64 reference output of each ``(program identity, backend
-    class, input)`` lives here too, stored read-only.
+    class, input)`` lives here too, stored read-only, and so does each
+    kernel's binary32 baseline report payload
+    (:func:`repro.flow.replay_baseline`).
     """
 
     def __init__(self) -> None:

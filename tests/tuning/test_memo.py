@@ -75,7 +75,8 @@ def test_grid_envelopes_identical_with_warm_and_unread_memo(
     tmp_path, monkeypatch
 ):
     """The tiny default grid stores the same bytes whether every
-    evaluation runs its program or the memo answers it."""
+    evaluation and every baseline replay runs its program or the memo
+    answers it."""
 
     def run_grid(tag):
         cfg = ExperimentConfig(
@@ -87,24 +88,35 @@ def test_grid_envelopes_identical_with_warm_and_unread_memo(
         cfg.runner.run(default_grid(cfg))
         return store_bytes(cfg.runner)
 
-    # Records are written but never read: every evaluation runs.
-    monkeypatch.setattr(evaluation_memo, "get", lambda key: None)
+    # Records are written but never read: every evaluation runs, and
+    # every flow and baseline report builds and replays its baseline.
+    unread_keys = []
+    monkeypatch.setattr(evaluation_memo, "get", unread_keys.append)
     unread = run_grid("unread")
     monkeypatch.undo()
+    apps = ExperimentConfig(scale="tiny").apps
+    baselines = [key for key in unread_keys if key[0] == "baseline"]
+    assert len(baselines) > len(apps)
+    assert len({key[1] for key in baselines}) == len(apps)
     # The whole grid fits: nothing was evicted before the warm run.
     assert 0 < len(evaluation_memo) < search_mod.MEMO_MAX_ENTRIES
 
     hits = []
+    warm_baselines = []
     real_get = evaluation_memo.get
 
     def spy(key):
         value = real_get(key)
         hits.append(value is not None)
+        if key[0] == "baseline":
+            warm_baselines.append(key)
         return value
 
     monkeypatch.setattr(evaluation_memo, "get", spy)
     warm = run_grid("warm")
     assert all(hits) and hits
+    # Warm, every baseline lookup is a memo hit too.
+    assert warm_baselines == baselines
     assert warm == unread
 
 
